@@ -39,7 +39,7 @@ CoordMetrics& coord_metrics() {
       telemetry::counter("flowgen_coordinator_dispatches_total",
                          "Shard requests dispatched (including reruns)"),
       telemetry::counter("flowgen_coordinator_shards_done_total",
-                         "Shards retired (ShardDone/EvalResponse)"),
+                         "Shards retired (ShardDone)"),
       telemetry::counter("flowgen_coordinator_requeued_shards_total",
                          "Requeue shards formed at worker losses"),
       telemetry::counter("flowgen_coordinator_requeued_flows_total",
@@ -369,6 +369,13 @@ bool EvalCoordinator::admit_worker(Worker worker) {
         std::size_t w = workers_.size();
         for (std::size_t i = 0; i < workers_.size(); ++i) {
           if (workers_[i].name != worker.name) continue;
+          if (workers_[i].alive &&
+              workers_[i].conn->socket().wait_readable(0)) {
+            // An incumbent killed just before its replacement dialed in is
+            // dead, but its EOF may still sit unread behind this command;
+            // read it now so the dead slot is revived, not defended.
+            on_worker_readable(i);
+          }
           if (workers_[i].alive) {
             util::log_warn("coordinator: worker ", worker.name,
                            " is already in rotation — candidate rejected");
@@ -1230,7 +1237,6 @@ bool EvalCoordinator::dispatch_to(std::size_t w,
   req.request_id = next_request_id_++;
   req.design = batch->design_fp;
   req.registry = batch->registry_fp;
-  req.flags = config_.stream_results ? kFlagStreamResults : 0;
   req.flows.reserve(shard.indices.size());
   for (const std::size_t i : shard.indices) {
     req.flows.push_back(batch->flows[i].steps);
@@ -1360,34 +1366,6 @@ void EvalCoordinator::handle_frame(std::size_t w, Frame& frame) {
         // the loss path.
         lose_worker(w, "torn stream (count/CRC mismatch)");
         return;
-      }
-      retire_shard(w, pos, now_ms());
-      return;
-    }
-    case MsgType::kEvalResponse: {  // stream_results off: whole-shard answer
-      EvalResponseMsg msg;
-      try {
-        msg = decode_eval_response(frame.payload);
-      } catch (const std::exception&) {
-        lose_worker(w, "undecodable response");
-        return;
-      }
-      const std::size_t pos = find_inflight(msg.request_id);
-      if (pos == worker.inflight.size()) {
-        if (is_stale(msg.request_id)) return;
-        lose_worker(w, "response for unknown request");
-        return;
-      }
-      Inflight& fl = worker.inflight[pos];
-      if (msg.results.size() != fl.received.size()) {
-        lose_worker(w, "response size mismatch");
-        return;
-      }
-      for (std::size_t k = 0; k < msg.results.size(); ++k) {
-        if (fl.received[k]) continue;
-        fl.received[k] = true;
-        ++fl.received_count;
-        apply_result(w, fl, static_cast<std::uint32_t>(k), msg.results[k]);
       }
       retire_shard(w, pos, now_ms());
       return;
@@ -1636,7 +1614,7 @@ void EvalCoordinator::retire_shard(std::size_t w, std::size_t inflight_pos,
     std::lock_guard lock(mu_);
     ++stats_.shards_done;
     if (stats_.shard_ms.size() >= kMaxLatencySamples) {
-      stats_.shard_ms.erase(stats_.shard_ms.begin());
+      stats_.shard_ms.pop_front();
     }
     stats_.shard_ms.push_back(ms);
     WorkerSnapshot& snap = snapshots_[w];

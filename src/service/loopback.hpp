@@ -1,16 +1,19 @@
 #pragma once
 // Loopback multi-worker mode: N real worker *processes* forked from the
-// current one, each serving the wire protocol on its end of a socketpair.
-// This is the same code path as a remote evald fleet — frames, coordinator
-// scheduling, crash handling — minus the network, which makes it the
-// substrate for the service tests (SIGKILL a child, watch the coordinator
-// requeue) and for bench_service's scaling curves.
+// current one, each serving the wire protocol on its end of a socketpair
+// through the same event-driven serve loop as `evald --mode worker`. This
+// is the same code path as a remote evald fleet — frames, serve loop,
+// coordinator scheduling, crash handling — minus the network, which makes
+// it the substrate for the service tests (SIGKILL a child, watch the
+// coordinator requeue) and for bench_service's scaling curves.
 //
 // Fork discipline: children are forked before the caller spawns any thread
 // pools (construct clusters early), immediately close every parent-side fd
 // they inherited, and leave via _exit so parent atexit state never runs
-// twice. Workers default to 1 evaluation thread — process count is the
-// parallelism knob here.
+// twice. Each worker runs WorkerOptions::serve_threads executors (2 by
+// default), so it evaluates that many of the coordinator's in-flight
+// shards at once, each on WorkerOptions::threads (1 by default) pool
+// threads.
 
 #include <sys/types.h>
 

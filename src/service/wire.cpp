@@ -193,19 +193,6 @@ std::vector<std::uint8_t> encode_eval_request(const EvalRequestMsg& m) {
   return w.take();
 }
 
-std::vector<std::uint8_t> encode_eval_response(const EvalResponseMsg& m) {
-  Writer w;
-  w.u64(m.request_id);
-  w.u32(static_cast<std::uint32_t>(m.results.size()));
-  for (const map::QoR& q : m.results) {
-    w.f64(q.area_um2);
-    w.f64(q.delay_ps);
-    w.u64(q.num_cells);
-    w.u64(q.num_inverters);
-  }
-  return w.take();
-}
-
 std::vector<std::uint8_t> encode_eval_result(const EvalResultMsg& m) {
   Writer w;
   w.u64(m.request_id);
@@ -303,6 +290,10 @@ EvalRequestMsg decode_eval_request(std::span<const std::uint8_t> payload) {
   m.registry[0] = r.u64();
   m.registry[1] = r.u64();
   m.flags = r.u8();
+  if (m.flags != kFlagStreamResults) {
+    throw WireError("unsupported EvalRequest flags " +
+                    std::to_string(static_cast<unsigned>(m.flags)));
+  }
   const std::uint32_t count = r.u32();
   if (count > r.remaining() / 2) {  // every flow costs >= 2 length bytes
     throw WireError("flow count exceeds payload");
@@ -312,27 +303,6 @@ EvalRequestMsg decode_eval_request(std::span<const std::uint8_t> payload) {
     const std::uint16_t len = r.u16();
     const auto raw = r.bytes(len);
     m.flows.emplace_back(raw.begin(), raw.end());
-  }
-  r.expect_end();
-  return m;
-}
-
-EvalResponseMsg decode_eval_response(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  EvalResponseMsg m;
-  m.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  if (count > r.remaining() / 32) {  // each QoR is exactly 32 bytes
-    throw WireError("result count exceeds payload");
-  }
-  m.results.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    map::QoR q;
-    q.area_um2 = r.f64();
-    q.delay_ps = r.f64();
-    q.num_cells = static_cast<std::size_t>(r.u64());
-    q.num_inverters = static_cast<std::size_t>(r.u64());
-    m.results.push_back(q);
   }
   r.expect_end();
   return m;

@@ -96,243 +96,29 @@ class EvalWatchdog {
   std::thread thread_;
 };
 
-}  // namespace
-
-bool serve_frames(Socket& sock, const EvalService& service) {
-  // A store subscription pushes kStoreAppend frames from whatever thread
-  // appends to the store (the evaluator pool, during on_eval), racing this
-  // thread's answer frames — so every send on this socket goes through one
-  // mutex. Uncontended when no subscription exists.
-  auto send_mu = std::make_shared<std::mutex>();
-  std::function<void()> unsubscribe;
-  struct Unsubscribe {
-    std::function<void()>* fn;
-    ~Unsubscribe() {
-      // On every exit path: after this, the push closure (which captures
-      // the socket) is guaranteed not running and never called again.
-      if (*fn) (*fn)();
-    }
-  } unsubscribe_guard{&unsubscribe};
-  const auto send = [&sock, &send_mu](MsgType type,
-                                      std::span<const std::uint8_t> payload) {
-    std::lock_guard lock(*send_mu);
-    send_frame(sock, type, payload);
-  };
-  while (true) {
-    std::optional<Frame> frame;
-    try {
-      frame = recv_frame(sock);
-    } catch (const std::exception& e) {
-      util::log_warn("evald: connection lost: ", e.what());
-      return false;
-    }
-    if (!frame) return false;  // clean EOF — client went away
-
-    try {
-      switch (frame->type) {
-        case MsgType::kHello: {
-          const HelloMsg hello = decode_hello(frame->payload);
-          if (hello.version != kProtocolVersion) {
-            send(MsgType::kError,
-                       encode_error({0, "unsupported protocol version " +
-                                            std::to_string(hello.version)}));
-            break;
-          }
-          send(MsgType::kHelloAck,
-                     encode_hello_ack(service.on_hello(hello)));
-          break;
-        }
-        case MsgType::kLoadDesign: {
-          // decode_binary rejects corrupt/non-canonical netlists with a
-          // typed error, answered as an Error frame below.
-          aig::Aig design = aig::decode_binary(frame->payload);
-          const aig::Fingerprint fp =
-              service.on_load_design(std::move(design), frame->payload);
-          send(MsgType::kLoadDesignAck,
-                     encode_load_design_ack(fp));
-          break;
-        }
-        case MsgType::kLoadRegistry: {
-          // decode re-validates every spec; malformed alphabets are a typed
-          // RegistryError, answered as an Error frame below.
-          std::shared_ptr<const opt::TransformRegistry> registry =
-              opt::TransformRegistry::decode(frame->payload);
-          const opt::RegistryFingerprint fp =
-              service.on_load_registry(std::move(registry), frame->payload);
-          send(MsgType::kLoadRegistryAck,
-                     encode_load_registry_ack(fp));
-          break;
-        }
-        case MsgType::kEvalRequest: {
-          EvalRequestMsg req = decode_eval_request(frame->payload);
-          telemetry::Span span("serve", "handle_eval");
-          span.arg("request_id", req.request_id);
-          span.arg("flows", static_cast<std::uint64_t>(req.flows.size()));
-          std::vector<core::Flow> flows;
-          flows.reserve(req.flows.size());
-          for (core::StepsKey& steps : req.flows) {
-            flows.push_back(core::Flow{std::move(steps)});
-          }
-          // Watchdog: a hung transform answers the request with a typed
-          // Error *now* (the client requeues the shard elsewhere) instead
-          // of wedging this connection until the client's timeout drops
-          // the whole worker. The expire closure swallows transport errors
-          // — it runs on the watchdog thread, where a throw would
-          // terminate the process.
-          EvalWatchdog watchdog(
-              service.eval_budget_ms, [&send, id = req.request_id] {
-                try {
-                  send(MsgType::kError,
-                       encode_error({id, kBudgetExceededMsg}));
-                } catch (const std::exception&) {
-                }
-              });
-          if ((req.flags & kFlagStreamResults) != 0) {
-            // v4 streamed answer: one EvalResult per flow as it completes,
-            // then ShardDone with the emitted count and a CRC-32 chained
-            // over the 32-byte QoR records in emission order.
-            std::uint32_t count = 0;
-            std::uint32_t crc = 0;
-            const auto emit = [&](std::uint32_t index, const map::QoR& q) {
-              if (!watchdog.expired()) {
-                send(MsgType::kEvalResult,
-                     encode_eval_result({req.request_id, index, q}));
-              }
-              const auto record = qor_record_bytes(q);
-              crc = util::crc32(record, crc);
-              ++count;
-            };
-            try {
-              if (service.on_eval_stream) {
-                service.on_eval_stream(req.design, req.registry,
-                                       std::move(flows), emit);
-              } else {
-                const std::vector<map::QoR> results = service.on_eval(
-                    req.design, req.registry, std::move(flows));
-                for (std::size_t i = 0; i < results.size(); ++i) {
-                  emit(static_cast<std::uint32_t>(i), results[i]);
-                }
-              }
-            } catch (const TransportError&) {
-              throw;  // stream broken mid-emit — the connection is gone
-            } catch (const std::exception& e) {
-              // Evaluator failure: already-emitted results stand (they are
-              // correct and the client applied them); the error closes the
-              // rest of the stream.
-              if (!watchdog.expired()) {
-                send(MsgType::kError,
-                     encode_error({req.request_id, e.what()}));
-              }
-              break;
-            }
-            // Budget blown: the watchdog already answered with an Error;
-            // a trailing ShardDone would be a stale frame.
-            if (watchdog.expired()) break;
-            send(MsgType::kShardDone,
-                       encode_shard_done({req.request_id, count, crc}));
-            break;
-          }
-          EvalResponseMsg resp;
-          resp.request_id = req.request_id;
-          try {
-            resp.results =
-                service.on_eval(req.design, req.registry, std::move(flows));
-          } catch (const std::exception& e) {
-            if (!watchdog.expired()) {
-              send(MsgType::kError,
-                   encode_error({req.request_id, e.what()}));
-            }
-            break;
-          }
-          if (watchdog.expired()) break;
-          send(MsgType::kEvalResponse,
-                     encode_eval_response(resp));
-          break;
-        }
-        case MsgType::kPing:
-          send(MsgType::kPong, frame->payload);
-          break;
-        case MsgType::kGetMetrics: {
-          serve_metrics().scrapes.inc();
-          send(MsgType::kMetricsText,
-                     encode_metrics_text({decode_u64(frame->payload),
-                                          telemetry::render_prometheus()}));
-          break;
-        }
-        case MsgType::kStoreSubscribe: {
-          // No ack and never an Error: a subscriber treats silence as "no
-          // live stream" and keeps working off its own store. A repeat
-          // subscribe (the client switched alphabets) replaces the old one.
-          const StoreSubscribeMsg sub = decode_store_subscribe(frame->payload);
-          if (service.on_store_subscribe) {
-            if (unsubscribe) {
-              unsubscribe();
-              unsubscribe = nullptr;
-            }
-            unsubscribe = service.on_store_subscribe(
-                sub.registry,
-                [send_mu, &sock](std::vector<std::uint8_t> frame_bytes) {
-                  std::lock_guard lock(*send_mu);
-                  try {
-                    // Bounded wait: the push runs under the store's mutex,
-                    // so a subscriber that stopped reading must cost a
-                    // cancelled stream, not wedged appends.
-                    sock.send_all(frame_bytes.data(), frame_bytes.size(),
-                                  5000);
-                  } catch (const std::exception&) {
-                    return false;  // connection gone — cancel the stream
-                  }
-                  return true;
-                });
-          }
-          break;
-        }
-        case MsgType::kShutdown:
-          return true;
-        default:
-          send(MsgType::kError,
-                     encode_error({0, "unexpected message type"}));
-          break;
-      }
-    } catch (const TransportError& e) {
-      util::log_warn("evald: send failed: ", e.what());
-      return false;
-    } catch (const std::exception& e) {
-      // Bad payloads / rejected hellos / rejected designs: report and keep
-      // serving. If even the error report fails the connection is gone.
-      try {
-        send(MsgType::kError, encode_error({0, e.what()}));
-      } catch (const std::exception&) {
-        return false;
-      }
-    }
-  }
-}
-
-namespace {
-
 // --------------------------------------------------------- the serve loop --
 //
-// One reactor thread owns the listener, the wake pipe, and every
-// connection's FrameConn; ServeOptions::eval_threads executor threads run
-// the actual evaluations. Control frames (Hello, LoadDesign, LoadRegistry,
-// Ping, Shutdown) are handled inline on the loop thread — they are cheap —
-// while each EvalRequest becomes an executor task whose result frames
-// (streamed EvalResults + ShardDone, a whole-shard EvalResponse, or an
-// Error) travel back through a mutex-guarded completion queue that wakes
-// the loop via the self-pipe. A slow shard therefore never delays accepts,
-// pings, or another client's frames, and two requests on one connection
-// may evaluate concurrently (their frames interleave; request ids keep
-// them apart — the v4 contract).
+// One reactor thread owns the listener (when there is one), the wake pipe,
+// and every connection's FrameConn; ServeOptions::eval_threads executor
+// threads run the actual evaluations. Control frames (Hello, LoadDesign,
+// LoadRegistry, Ping, Shutdown) are handled inline on the loop thread —
+// they are cheap — while each EvalRequest becomes an executor task whose
+// result frames (streamed EvalResults + ShardDone, or an Error) travel back
+// through a mutex-guarded completion queue that wakes the loop via the
+// self-pipe. A slow shard therefore never delays accepts, pings, or
+// another client's frames, and two requests on one connection may evaluate
+// concurrently (their frames interleave; request ids keep them apart).
+// Without a listener the loop serves the connections handed to adopt() —
+// a loopback worker's socketpair end — and returns once they are gone.
 
 class ServeLoop {
 public:
-  ServeLoop(Listener& listener,
-            const std::function<EvalService()>& make_service,
+  ServeLoop(Listener* listener, std::function<EvalService()> make_service,
             const ServeOptions& options)
       : listener_(listener),
-        make_service_(make_service),
-        stats_(options.stats) {
+        make_service_(std::move(make_service)),
+        stats_(options.stats),
+        stop_accepting_(listener == nullptr) {
     const std::size_t n = std::max<std::size_t>(1, options.eval_threads);
     executors_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -355,8 +141,21 @@ public:
     for (std::thread& t : executors_) t.join();
   }
 
+  /// Serve an already-connected socket alongside any accepted ones.
+  void adopt(Socket sock) {
+    const std::uint64_t id = next_conn_id_++;
+    auto conn = std::make_unique<Conn>(
+        id, std::move(sock), std::make_shared<EvalService>(make_service_()));
+    poller_.add(conn->frame_conn.fd(), true, false, id);
+    conns_.emplace(id, std::move(conn));
+    if (stats_) {
+      stats_->connections_total.fetch_add(1, std::memory_order_relaxed);
+      stats_->connections_open.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
   void run() {
-    poller_.add(listener_.fd(), true, false, kListenerTag);
+    if (listener_) poller_.add(listener_->fd(), true, false, kListenerTag);
     poller_.add(wake_.read_fd(), true, false, kWakeTag);
     while (!(stop_accepting_ && conns_.empty())) {
       serve_metrics().loop_iterations.inc();
@@ -405,7 +204,7 @@ private:
     while (true) {
       Socket sock;
       try {
-        sock = listener_.accept(0);
+        sock = listener_->accept(0);
       } catch (const AcceptTimeout&) {
         return;  // drained the backlog
       }
@@ -413,16 +212,7 @@ private:
       // dead listener) must surface, not spin.
       if (stop_accepting_) continue;  // drop latecomers during drain
       util::log_info("evald: client connected");
-      const std::uint64_t id = next_conn_id_++;
-      auto conn = std::make_unique<Conn>(
-          id, std::move(sock),
-          std::make_shared<EvalService>(make_service_()));
-      poller_.add(conn->frame_conn.fd(), true, false, id);
-      conns_.emplace(id, std::move(conn));
-      if (stats_) {
-        stats_->connections_total.fetch_add(1, std::memory_order_relaxed);
-        stats_->connections_open.fetch_add(1, std::memory_order_relaxed);
-      }
+      adopt(std::move(sock));
     }
   }
 
@@ -510,7 +300,10 @@ private:
         case MsgType::kStoreSubscribe: {
           // Runs on the loop thread; pushes arrive later from appending
           // threads and travel through the completion queue like streamed
-          // results. No ack, never an Error (see serve_frames).
+          // results. No ack and never an Error: a subscriber treats silence
+          // as "no live stream" and keeps working off its own store. A
+          // repeat subscribe (the client switched alphabets) replaces the
+          // old one.
           const StoreSubscribeMsg sub = decode_store_subscribe(frame.payload);
           if (service.on_store_subscribe) {
             if (conn.store_unsubscribe) {
@@ -534,8 +327,8 @@ private:
         }
         case MsgType::kShutdown:
           util::log_info("evald: shutdown requested");
+          if (listener_ && !stop_accepting_) poller_.del(listener_->fd());
           stop_accepting_ = true;
-          poller_.del(listener_.fd());
           return false;
         default:
           enqueue_error(conn, 0, "unexpected message type");
@@ -579,7 +372,6 @@ private:
     for (core::StepsKey& steps : req.flows) {
       flows.push_back(core::Flow{std::move(steps)});
     }
-    const bool streamed = (req.flags & kFlagStreamResults) != 0;
     // Watchdog: a hung transform turns into a typed Error frame while the
     // evaluation is still running — the executor slot stays busy until the
     // transform returns, but the client requeues immediately instead of
@@ -591,53 +383,34 @@ private:
                                      encode_error({id, kBudgetExceededMsg})));
           if (stats_) stats_->errors.fetch_add(1, std::memory_order_relaxed);
         });
-    try {
-      if (streamed) {
-        std::uint32_t count = 0;
-        std::uint32_t crc = 0;
-        const auto emit = [&](std::uint32_t index, const map::QoR& q) {
-          if (!gone.load(std::memory_order_acquire) && !watchdog.expired()) {
-            post(conn_id,
-                 encode_frame(MsgType::kEvalResult,
-                              encode_eval_result({req.request_id, index, q})));
-            if (stats_) {
-              stats_->results_streamed.fetch_add(1,
-                                                 std::memory_order_relaxed);
-            }
-          }
-          const auto record = qor_record_bytes(q);
-          crc = util::crc32(record, crc);
-          ++count;
-        };
-        if (service.on_eval_stream) {
-          service.on_eval_stream(req.design, req.registry, std::move(flows),
-                                 emit);
-        } else {
-          const std::vector<map::QoR> results =
-              service.on_eval(req.design, req.registry, std::move(flows));
-          for (std::size_t i = 0; i < results.size(); ++i) {
-            emit(static_cast<std::uint32_t>(i), results[i]);
-          }
-        }
-        if (!watchdog.expired()) {
-          post(conn_id,
-               encode_frame(MsgType::kShardDone,
-                            encode_shard_done({req.request_id, count, crc})));
-        }
-      } else {
-        EvalResponseMsg resp;
-        resp.request_id = req.request_id;
-        resp.results =
-            service.on_eval(req.design, req.registry, std::move(flows));
-        if (!watchdog.expired()) {
-          post(conn_id, encode_frame(MsgType::kEvalResponse,
-                                     encode_eval_response(resp)));
-          if (stats_) {
-            stats_->responses.fetch_add(1, std::memory_order_relaxed);
-          }
+    // One EvalResult per flow as it completes, then ShardDone with the
+    // emitted count and a CRC-32 chained over the 32-byte QoR records in
+    // emission order. Once the budget is blown the watchdog has answered,
+    // so every later frame would be stale.
+    std::uint32_t count = 0;
+    std::uint32_t crc = 0;
+    const auto emit = [&](std::uint32_t index, const map::QoR& q) {
+      if (!gone.load(std::memory_order_acquire) && !watchdog.expired()) {
+        post(conn_id,
+             encode_frame(MsgType::kEvalResult,
+                          encode_eval_result({req.request_id, index, q})));
+        if (stats_) {
+          stats_->results_streamed.fetch_add(1, std::memory_order_relaxed);
         }
       }
+      crc = util::crc32(qor_record_bytes(q), crc);
+      ++count;
+    };
+    try {
+      service.on_eval(req.design, req.registry, std::move(flows), emit);
+      if (!watchdog.expired()) {
+        post(conn_id,
+             encode_frame(MsgType::kShardDone,
+                          encode_shard_done({req.request_id, count, crc})));
+      }
     } catch (const std::exception& e) {
+      // Already-emitted results stand (they are correct and the client
+      // applied them); the error closes the rest of the stream.
       if (!watchdog.expired()) {
         post(conn_id, encode_frame(MsgType::kError,
                                    encode_error({req.request_id, e.what()})));
@@ -724,15 +497,15 @@ private:
     }
   }
 
-  Listener& listener_;
-  const std::function<EvalService()>& make_service_;
+  Listener* listener_;  ///< null: serve adopted connections only
+  std::function<EvalService()> make_service_;
   ServeStats* stats_;
 
   Poller poller_;
   WakePipe wake_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::uint64_t next_conn_id_ = kFirstConnId;
-  bool stop_accepting_ = false;
+  bool stop_accepting_;
 
   std::mutex mu_;  ///< guards tasks_, completions_, executors_stop_
   std::condition_variable tasks_cv_;
@@ -754,7 +527,7 @@ private:
 void serve_connections(Listener& listener,
                        const std::function<EvalService()>& make_service,
                        const ServeOptions& options) {
-  ServeLoop loop(listener, make_service, options);
+  ServeLoop loop(&listener, make_service, options);
   loop.run();
 }
 
@@ -970,33 +743,18 @@ EvalService EvalWorker::make_service() {
         return load_registry(std::move(registry));
       };
   service.eval_budget_ms = options_.eval_budget_ms;
-  service.on_eval = [this](const aig::Fingerprint& fp,
-                           const opt::RegistryFingerprint& registry,
-                           std::vector<core::Flow> flows) {
-    // Chaos hooks: "worker.eval.pre" fires once per request,
-    // "worker.eval.flow" is keyed by the hex of a flow's step bytes so a
-    // *specific* flow can be made poisonous (crash/delay/error follows it
-    // to whichever worker it is requeued on). Both compile out under
-    // -DFLOWGEN_FAILPOINTS=OFF and cost one relaxed load when idle.
-    FLOWGEN_FAILPOINT("worker.eval.pre");
-    for (const core::Flow& f : flows) {
-      FLOWGEN_FAILPOINT_KEYED(
-          "worker.eval.flow",
-          util::failpoint::key_hex(f.steps.data(),
-                                   f.steps.size() * sizeof(opt::StepId)));
-    }
-    // Evaluate outside the designs lock: evaluators are thread-safe, so
-    // concurrent connections on the same design share its warm caches.
-    const std::shared_ptr<core::SynthesisEvaluator> evaluator =
-        evaluator_for(fp, registry);
-    return evaluator->evaluate_many(flows, pool_.get());
-  };
-  service.on_eval_stream =
+  service.on_eval =
       [this](const aig::Fingerprint& fp,
              const opt::RegistryFingerprint& registry,
              std::vector<core::Flow> flows,
              const std::function<void(std::uint32_t, const map::QoR&)>&
                  emit) {
+        // Chaos hooks: "worker.eval.pre" fires once per request,
+        // "worker.eval.flow" is keyed by the hex of a flow's step bytes so
+        // a *specific* flow can be made poisonous (crash/delay/error
+        // follows it to whichever worker it is requeued on). Both compile
+        // out under -DFLOWGEN_FAILPOINTS=OFF and cost one relaxed load when
+        // idle.
         FLOWGEN_FAILPOINT("worker.eval.pre");
         for (const core::Flow& f : flows) {
           FLOWGEN_FAILPOINT_KEYED(
@@ -1004,6 +762,8 @@ EvalService EvalWorker::make_service() {
               util::failpoint::key_hex(f.steps.data(),
                                        f.steps.size() * sizeof(opt::StepId)));
         }
+        // Evaluate outside the designs lock: evaluators are thread-safe, so
+        // concurrent requests on the same design share its warm caches.
         const std::shared_ptr<core::SynthesisEvaluator> evaluator =
             evaluator_for(fp, registry);
         // Evaluate in chunks of `threads` flows so the pool stays busy yet
@@ -1060,8 +820,11 @@ EvalService EvalWorker::make_service() {
   return service;
 }
 
-bool EvalWorker::serve(Socket& sock) {
-  return serve_frames(sock, make_service());
+void EvalWorker::serve(Socket& sock) {
+  ServeLoop loop(nullptr, [this] { return make_service(); },
+                 {options_.serve_threads, &serve_stats_});
+  loop.adopt(std::move(sock));
+  loop.run();
 }
 
 void apply_worker_rlimits(const WorkerOptions& options) {
@@ -1099,7 +862,6 @@ std::string worker_admin_text(const EvalWorker& worker,
        << "requests " << s.requests.load() << '\n'
        << "flows_received " << s.flows_received.load() << '\n'
        << "results_streamed " << s.results_streamed.load() << '\n'
-       << "responses " << s.responses.load() << '\n'
        << "errors " << s.errors.load() << '\n'
        << "store_appends_streamed " << s.store_appends_streamed.load() << '\n'
        << "designs_loaded " << worker.num_designs() << '\n';
@@ -1164,13 +926,8 @@ std::string worker_admin_text(const EvalWorker& worker,
 }
 
 void EvalWorker::serve_forever(Listener& listener) {
-  ServeOptions options;
-  options.eval_threads = std::max<std::size_t>(1, options_.serve_threads);
-  options.stats = &serve_stats_;
-  const std::function<EvalService()> factory = [this] {
-    return make_service();
-  };
-  serve_connections(listener, factory, options);
+  serve_connections(listener, [this] { return make_service(); },
+                    {options_.serve_threads, &serve_stats_});
 }
 
 EvalService make_coordinator_service(EvalCoordinator& coordinator) {
@@ -1217,24 +974,19 @@ EvalService make_coordinator_service(EvalCoordinator& coordinator) {
         }
         return fp;
       };
-  svc.on_eval = [&coordinator](const aig::Fingerprint& fp,
-                               const opt::RegistryFingerprint& registry,
-                               std::vector<core::Flow> flows) {
-    // The fingerprint check and the batch submission are atomic inside the
-    // coordinator — a plain check-then-evaluate would race a concurrent
-    // client's load_design/load_registry.
-    return coordinator.evaluate_many_for(fp, registry, flows);
-  };
-  svc.on_eval_stream =
+  svc.on_eval =
       [&coordinator](const aig::Fingerprint& fp,
                      const opt::RegistryFingerprint& registry,
                      std::vector<core::Flow> flows,
                      const std::function<void(std::uint32_t, const map::QoR&)>&
                          emit) {
-        // Fleets compose under streaming too: results land from the
-        // coordinator's event loop as its workers stream them, and every
-        // one is forwarded upward immediately (the emit is thread-safe —
-        // it posts to the serve loop's completion queue).
+        // The fingerprint check and the batch submission are atomic inside
+        // the coordinator — a plain check-then-evaluate would race a
+        // concurrent client's load_design/load_registry. Fleets compose
+        // under streaming: results land from the coordinator's event loop
+        // as its workers stream them, and every one is forwarded upward
+        // immediately (the emit is thread-safe — it posts to the serve
+        // loop's completion queue).
         coordinator.evaluate_many_for(
             fp, registry, flows,
             [&emit](std::size_t index, const map::QoR& q) {

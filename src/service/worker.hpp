@@ -67,25 +67,19 @@ struct EvalService {
       std::span<const std::uint8_t> blob)>
       on_load_registry;
   /// Evaluate a batch against the design with fingerprint `design`, whose
-  /// step bytes are ids into the alphabet with fingerprint `registry`;
-  /// results must keep flow order. Throw (e.g. design or registry not
-  /// loaded) to answer with an Error frame carrying the request id.
-  std::function<std::vector<map::QoR>(const aig::Fingerprint& design,
-                                      const opt::RegistryFingerprint& registry,
-                                      std::vector<core::Flow> flows)>
-      on_eval;
-  /// v4 streamed evaluation: call emit(index, qor) once per flow as results
-  /// complete (index = the flow's position in `flows`; order is free). The
-  /// serve loop turns every emit into an EvalResult frame and closes the
-  /// stream with ShardDone (count + CRC). Throwing mid-stream answers with
-  /// an Error frame; already-emitted results stand and the client requeues
-  /// only the rest. Optional — when unset, streamed requests fall back to
-  /// on_eval and the loop emits the returned batch itself.
+  /// step bytes are ids into the alphabet with fingerprint `registry`, and
+  /// call emit(index, qor) once per flow as results complete (index = the
+  /// flow's position in `flows`; order is free). The serve loop turns every
+  /// emit into an EvalResult frame and closes the stream with ShardDone
+  /// (count + CRC). Throwing — before the first emit (e.g. design or
+  /// registry not loaded) or mid-stream — answers with an Error frame
+  /// carrying the request id; already-emitted results stand and the client
+  /// requeues only the rest.
   std::function<void(
       const aig::Fingerprint& design, const opt::RegistryFingerprint& registry,
       std::vector<core::Flow> flows,
       const std::function<void(std::uint32_t, const map::QoR&)>& emit)>
-      on_eval_stream;
+      on_eval;
   /// kStoreSubscribe: stream the QoR store's appends for `registry` to this
   /// connection. `push` takes one fully encoded kStoreAppend frame and
   /// returns false when the connection is gone (which cancels the
@@ -117,12 +111,11 @@ struct ServeStats {
   std::atomic<std::size_t> requests{0};         ///< EvalRequests accepted
   std::atomic<std::size_t> flows_received{0};   ///< flows across requests
   std::atomic<std::size_t> results_streamed{0}; ///< EvalResult frames queued
-  std::atomic<std::size_t> responses{0};        ///< whole-shard responses
   std::atomic<std::size_t> errors{0};           ///< Error frames queued
   std::atomic<std::size_t> store_appends_streamed{0};  ///< kStoreAppend frames pushed
 };
 
-/// Knobs of the event-driven accept/serve loop.
+/// Knobs of the event-driven serve loop.
 struct ServeOptions {
   /// Executor threads running EvalRequests. The loop itself never
   /// evaluates: requests queue to this pool and their result frames flow
@@ -133,19 +126,15 @@ struct ServeOptions {
   ServeStats* stats = nullptr;
 };
 
-/// Serve frames on `sock` until clean EOF (returns false) or a Shutdown
-/// frame (returns true). Handler exceptions are answered with Error frames
-/// and the connection continues; transport failures end it.
-bool serve_frames(Socket& sock, const EvalService& service);
-
 /// Concurrent accept/serve loop — a single-threaded poll/epoll reactor
 /// over non-blocking connections (`make_service` is invoked once per
-/// connection; handlers other than on_eval/on_eval_stream run on the loop
-/// thread, evaluations run on ServeOptions::eval_threads executor threads,
-/// so handlers must be thread-safe — EvalWorker's and
-/// make_coordinator_service's are). Returns once a client sends Shutdown:
-/// the loop stops accepting and keeps serving the remaining connections
-/// until they drain.
+/// connection; handlers other than on_eval run on the loop thread,
+/// evaluations run on ServeOptions::eval_threads executor threads, so
+/// handlers must be thread-safe — EvalWorker's and
+/// make_coordinator_service's are). Handler exceptions are answered with
+/// Error frames and the connection continues. Returns once a client sends
+/// Shutdown: the loop stops accepting and keeps serving the remaining
+/// connections until they drain.
 void serve_connections(Listener& listener,
                        const std::function<EvalService()>& make_service,
                        const ServeOptions& options = {});
@@ -167,14 +156,16 @@ struct WorkerOptions {
   /// unreadable or malformed file.
   std::string design_file;
   core::EvaluatorConfig evaluator;
-  /// Threads for evaluate_many inside this worker. Loopback clusters keep
-  /// this at 1 (parallelism comes from processes); a big remote worker can
-  /// raise it to use its whole machine per shard. Streamed requests
-  /// evaluate in chunks of this size, so per-flow result frames and pool
-  /// parallelism coexist.
+  /// Pool threads for evaluate_many inside one EvalRequest. Loopback
+  /// clusters keep this at 1: their parallelism comes from processes and
+  /// from each worker's serve_threads executors. A big remote worker can
+  /// raise it to use its whole machine per shard. Requests evaluate in
+  /// chunks of this size, so per-flow result frames and pool parallelism
+  /// coexist.
   std::size_t threads = 1;
-  /// Executor threads of the accept/serve event loop (serve_forever) —
-  /// how many EvalRequests may evaluate concurrently.
+  /// Executor threads of the serve loop (serve and serve_forever) — how
+  /// many EvalRequests may evaluate concurrently, across connections and
+  /// within one.
   std::size_t serve_threads = 2;
   /// Instantiated (design, registry) evaluators kept warm (>= 1) — the
   /// same design under two alphabets counts twice. Loading entry N+1
@@ -223,15 +214,17 @@ public:
   /// evaluations then share the warm caches).
   EvalService make_service();
 
-  /// serve_frames over this worker's designs. Returns true after
-  /// Shutdown, false on EOF.
-  bool serve(Socket& sock);
+  /// Serve one already-connected socket (a loopback socketpair end, or an
+  /// accepted connection) through the same event-driven loop as
+  /// serve_forever, until the peer hangs up or sends Shutdown. Takes the
+  /// socket over.
+  void serve(Socket& sock);
 
   /// Accept loop for the evald binary: the event-driven serve loop over
   /// this worker's service, until a client sends Shutdown.
   void serve_forever(Listener& listener);
 
-  /// Live serve-loop counters (valid during serve_forever) — what the
+  /// Live serve-loop counters (across serve and serve_forever) — what the
   /// worker's admin socket reports.
   const ServeStats& serve_stats() const { return serve_stats_; }
 

@@ -1,5 +1,6 @@
 #include "util/failpoint.hpp"
 
+#include <pthread.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -44,6 +45,15 @@ struct Registry {
 
 Registry& registry() {
   static Registry r;
+  // While any point is armed every site takes r.mu, so a fork() racing
+  // another thread's site (a respawned loopback worker beside the
+  // coordinator's event loop reading a socket) would hand the child a
+  // locked mutex. Holding it across fork() hands the child an unlocked
+  // copy.
+  static const int atfork_registered = ::pthread_atfork(
+      [] { registry().mu.lock(); }, [] { registry().mu.unlock(); },
+      [] { registry().mu.unlock(); });
+  (void)atfork_registered;
   return r;
 }
 

@@ -1,5 +1,6 @@
 #include "util/log.hpp"
 
+#include <pthread.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
@@ -51,6 +52,15 @@ long current_tid() {
 }
 
 std::mutex g_io_mutex;
+
+// fork() copies the mutex in whatever state another thread left it: a
+// child forked while a sibling thread logs (LoopbackCluster::respawn_worker
+// forks beside the coordinator's event loop, which logs the very worker
+// loss being replaced) would inherit it locked and hang at its first log
+// line. Holding it across fork() hands the child an unlocked copy.
+const int g_atfork_registered = ::pthread_atfork(
+    [] { g_io_mutex.lock(); }, [] { g_io_mutex.unlock(); },
+    [] { g_io_mutex.unlock(); });
 
 }  // namespace
 

@@ -329,6 +329,12 @@ TEST(ChaosServiceTest, TornFrameTransportFailureLosesOnlyUndeliveredFlows) {
 
   WorkerOptions options;
   options.design_id = "alu:4";
+  // One executor: shards evaluate one after the other, so the torn send
+  // below lands inside a shard. With two, the frames of two short shards
+  // interleave and the tear can hit a terminator after every result has
+  // arrived — correctly requeuing nothing, which this leg could not tell
+  // from a lost requeue.
+  options.serve_threads = 1;
   LoopbackCluster cluster(4, options);
   EvalCoordinator coordinator(cluster.take_workers(), "alu:4");
 

@@ -285,26 +285,6 @@ TEST(GoldenRegistryTest, NonPaperStoresRoundTripUnderTheirRegistry) {
                core::QorStoreError);
 }
 
-TEST(GoldenRegistryTest, EvalResponsePayloadBytesAreUnchanged) {
-  // The EvalResponse layout survived the v2 -> v3 bump: the golden payload
-  // (captured from the v2 encoder) must be exactly what today's encoder
-  // produces and what today's decoder reads.
-  const std::vector<std::uint8_t> golden =
-      read_file(golden_dir() / "v2_eval_response.bin");
-  service::EvalResponseMsg msg;
-  msg.request_id = 0x0102030405060708ull;
-  msg.results.push_back(map::QoR{14.5, 102.0, 9, 2});
-  msg.results.push_back(map::QoR{21.25, 140.0, 13, 1});
-  EXPECT_EQ(service::encode_eval_response(msg), golden);
-
-  const service::EvalResponseMsg decoded =
-      service::decode_eval_response(golden);
-  EXPECT_EQ(decoded.request_id, msg.request_id);
-  ASSERT_EQ(decoded.results.size(), 2u);
-  EXPECT_EQ(decoded.results[0], msg.results[0]);
-  EXPECT_EQ(decoded.results[1], msg.results[1]);
-}
-
 TEST(GoldenRegistryTest, V4EvalRequestLayoutIsPinned) {
   // Fresh golden for the v4 request (the v3 layout plus the flags byte
   // between the registry fingerprint and the flow count): byte-level
@@ -337,8 +317,8 @@ TEST(GoldenRegistryTest, V4EvalRequestLayoutIsPinned) {
 
 TEST(GoldenRegistryTest, V4StreamFramePayloadsArePinned) {
   // EvalResult and ShardDone are new in v4; pin their byte layouts the
-  // same way. The QoR record inside EvalResult is the same 32-byte shape
-  // EvalResponse batches (and qor_record_bytes returns).
+  // same way. The QoR record inside EvalResult is the 32-byte shape
+  // qor_record_bytes returns.
   service::EvalResultMsg res;
   res.request_id = 0x0102030405060708ull;
   res.index = 7;

@@ -19,6 +19,7 @@
 #include "service/loopback.hpp"
 #include "service/remote_evaluator.hpp"
 #include "service/wire.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 // Fork-based tests are skipped under ThreadSanitizer: TSan's runtime does
@@ -127,18 +128,16 @@ TEST(WireTest, HelloAckAndLoadDesignAckRoundTrip) {
   EXPECT_EQ(decode_load_design_ack(encode_load_design_ack(fp)), fp);
 }
 
-TEST(WireTest, EvalResponseRoundTripsExactDoubles) {
-  EvalResponseMsg msg;
-  msg.request_id = 7;
-  msg.results.push_back(map::QoR{123.456789012345, 9876.5432109876, 42, 7});
-  msg.results.push_back(map::QoR{0.0, -1.5, 0, 0});
-
-  const auto decoded = decode_eval_response(encode_eval_response(msg));
-  EXPECT_EQ(decoded.request_id, 7u);
-  ASSERT_EQ(decoded.results.size(), 2u);
-  // Doubles cross the wire as bit patterns, not text: exact equality.
-  EXPECT_EQ(decoded.results[0], msg.results[0]);
-  EXPECT_EQ(decoded.results[1], msg.results[1]);
+TEST(WireTest, EvalResultRoundTripsExactDoubles) {
+  for (const map::QoR& q : {map::QoR{123.456789012345, 9876.5432109876, 42, 7},
+                            map::QoR{0.0, -1.5, 0, 0}}) {
+    const EvalResultMsg decoded =
+        decode_eval_result(encode_eval_result({7, 3, q}));
+    EXPECT_EQ(decoded.request_id, 7u);
+    EXPECT_EQ(decoded.index, 3u);
+    // Doubles cross the wire as bit patterns, not text: exact equality.
+    EXPECT_EQ(decoded.result, q);
+  }
 }
 
 TEST(WireTest, HelloAndErrorRoundTrip) {
@@ -156,6 +155,9 @@ TEST(WireTest, DecodersRejectTruncatedAndTrailingBytes) {
   msg.request_id = 1;
   msg.flows.push_back({0});  // balance
   auto bytes = encode_eval_request(msg);
+  // The untruncated message decodes, so the failures below are the
+  // truncation and the trailing byte, nothing else.
+  ASSERT_NO_THROW(decode_eval_request(bytes));
   auto truncated = bytes;
   truncated.pop_back();
   EXPECT_THROW(decode_eval_request(truncated), WireError);
@@ -166,16 +168,6 @@ TEST(WireTest, DecodersRejectTruncatedAndTrailingBytes) {
 TEST(WireTest, DecodersRejectCountsExceedingPayload) {
   // A corrupt count field must fail validation, not turn into a
   // multi-gigabyte reserve().
-  EvalResponseMsg msg;
-  msg.request_id = 1;
-  msg.results.push_back(map::QoR{});
-  auto bytes = encode_eval_response(msg);
-  bytes[8] = 0xFF;  // count (little-endian u32 after the u64 request id)
-  bytes[9] = 0xFF;
-  bytes[10] = 0xFF;
-  bytes[11] = 0xFF;
-  EXPECT_THROW(decode_eval_response(bytes), WireError);
-
   EvalRequestMsg req_msg;
   req_msg.request_id = 1;
   req_msg.flows.push_back({0});  // balance
@@ -748,6 +740,70 @@ TEST(ServiceTest, RequestForUnloadedRegistryIsARoutedError) {
   const ErrorMsg err = decode_error(reply->payload);
   EXPECT_EQ(err.request_id, 9u);
   EXPECT_NE(err.message.find("registry"), std::string::npos);
+
+  send_frame(client, MsgType::kShutdown, {});
+  server.join();
+}
+
+TEST(ServiceTest, UnknownEvalRequestFlagsAreErrorsAndConnectionSurvives) {
+  // kFlagStreamResults is the only legal flags byte: a raw client sending
+  // 0x00 (the retired whole-shard shape) or an unknown bit gets an Error
+  // for each request, and the same connection then streams a valid answer.
+  auto [client, server_sock] = socket_pair();
+  WorkerOptions options;
+  options.design_id = "alu:4";
+  EvalWorker worker(options);
+  std::thread server([&worker, sock = std::move(server_sock)]() mutable {
+    worker.serve(sock);
+  });
+
+  send_frame(client, MsgType::kHello, encode_hello({}));
+  const auto ack = recv_frame(client, 10000);
+  ASSERT_TRUE(ack && ack->type == MsgType::kHelloAck);
+  const HelloAckMsg acked = decode_hello_ack(ack->payload);
+
+  const auto flows = sample_flows(4);
+  EvalRequestMsg req;
+  req.design = acked.fingerprint;
+  for (const Flow& f : flows) req.flows.push_back(f.steps);
+  for (const std::uint8_t flags : {std::uint8_t{0x00}, std::uint8_t{0x02}}) {
+    req.request_id = 10 + flags;
+    req.flags = flags;
+    send_frame(client, MsgType::kEvalRequest, encode_eval_request(req));
+    const auto reply = recv_frame(client, 10000);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, MsgType::kError) << "flags " << int{flags};
+    EXPECT_NE(decode_error(reply->payload).message.find("flags"),
+              std::string::npos);
+  }
+
+  req.request_id = 20;
+  req.flags = kFlagStreamResults;
+  send_frame(client, MsgType::kEvalRequest, encode_eval_request(req));
+  std::vector<map::QoR> streamed(flows.size());
+  std::uint32_t results = 0;
+  std::uint32_t crc = 0;
+  while (true) {
+    const auto frame = recv_frame(client, 20000);
+    ASSERT_TRUE(frame.has_value());
+    if (frame->type == MsgType::kShardDone) {
+      const ShardDoneMsg done = decode_shard_done(frame->payload);
+      EXPECT_EQ(done.request_id, 20u);
+      EXPECT_EQ(done.count, flows.size());
+      EXPECT_EQ(done.crc32, crc);
+      break;
+    }
+    ASSERT_EQ(frame->type, MsgType::kEvalResult);
+    const EvalResultMsg res = decode_eval_result(frame->payload);
+    EXPECT_EQ(res.request_id, 20u);
+    ASSERT_LT(res.index, flows.size());
+    streamed[res.index] = res.result;
+    crc = util::crc32(qor_record_bytes(res.result), crc);
+    ++results;
+  }
+  EXPECT_EQ(results, flows.size());
+  core::SynthesisEvaluator local(designs::make_design("alu:4"));
+  expect_bit_identical(streamed, local.evaluate_many(flows));
 
   send_frame(client, MsgType::kShutdown, {});
   server.join();

@@ -1,12 +1,28 @@
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "util/ascii_plot.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/log.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+#define FLOWGEN_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define FLOWGEN_TSAN 1
+#endif
+#endif
 
 namespace flowgen::util {
 namespace {
@@ -100,6 +116,51 @@ TEST(AsciiPlotTest, HistogramBarsSumToCount) {
   PlotOptions opt;
   const std::string out = histogram_plot(xs, 5, opt);
   EXPECT_NE(out.find('#'), std::string::npos);
+}
+
+TEST(LogTest, ChildForkedBesideALoggingThreadCanLog) {
+#ifdef FLOWGEN_TSAN
+  GTEST_SKIP() << "fork from a multi-threaded process under TSan";
+#endif
+  // A child forked while another thread holds the log mutex must still be
+  // able to log (loopback workers are respawned beside a logging event
+  // loop). Each child logs one line and exits; one that does not exit
+  // within 2 s is stuck on an inherited lock.
+  const int saved_stderr = ::dup(STDERR_FILENO);
+  const int devnull = ::open("/dev/null", O_WRONLY);
+  ASSERT_GE(saved_stderr, 0);
+  ASSERT_GE(devnull, 0);
+  ::dup2(devnull, STDERR_FILENO);
+  std::atomic<bool> stop{false};
+  std::thread logger([&stop] {
+    while (!stop.load()) log_message(LogLevel::kError, "parent tick");
+  });
+  int hung = 0;
+  for (int i = 0; i < 50; ++i) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      log_message(LogLevel::kError, "child");
+      ::_exit(0);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    int status = 0;
+    while (::waitpid(pid, &status, WNOHANG) == 0) {
+      if (std::chrono::steady_clock::now() - t0 > std::chrono::seconds(2)) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+        ++hung;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  stop = true;
+  logger.join();
+  ::dup2(saved_stderr, STDERR_FILENO);
+  ::close(saved_stderr);
+  ::close(devnull);
+  EXPECT_EQ(hung, 0) << "children stuck on an inherited log mutex";
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 //             (LoadDesign shipping a serialized netlist); transform
 //             alphabets arrive via protocol v3 LoadRegistry; a small LRU
 //             keeps several instantiated (design, alphabet) pairs warm.
-//             Serving is the v4 event loop: one reactor thread multiplexes
-//             every connection, --serve-threads executors evaluate:
+//             Serving is the event loop: one reactor thread multiplexes
+//             every connection, --serve-threads executors evaluate
+//             (loopback workers run the same loop on their socketpair):
 //               evald --mode worker --listen unix:/tmp/w0.sock
 //                     [--design alu16] [--design-file adder.blif]
 //                     [--threads 4] [--serve-threads 2] [--max-designs 4]
@@ -29,7 +30,6 @@
 //                     [--breaker-failures 5] [--breaker-window-ms 60000]
 //                     [--breaker-cooldown-ms 5000]
 //                     [--quarantine-after 3] [--isolate-after 2]
-//                     [--no-stream]
 //   loopback  Fork N local workers, push a random batch through them, and
 //             print throughput — the zero-setup smoke test:
 //               evald --mode loopback --design alu16 --workers 4 --flows 200
@@ -167,7 +167,6 @@ int run_server(const util::Cli& cli) {
       "quarantine-after", static_cast<long>(config.quarantine_after)));
   config.isolate_after = static_cast<std::size_t>(
       cli.get_int("isolate-after", static_cast<long>(config.isolate_after)));
-  config.stream_results = !cli.get_bool("no-stream", false);
   // No --design/--design-file starts the fleet deferred: the first client
   // Hello(id), LoadDesign or LoadRegistry decides what it serves. A
   // --design-file fleet ships the loaded netlist to every worker.
