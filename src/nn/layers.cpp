@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "nn/kernels.hpp"
+
 namespace flowgen::nn {
 
 Dense::Dense(std::size_t in_features, std::size_t out_features,
@@ -20,15 +22,13 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
   cached_input_ = input;
   const std::size_t n = input.dim(0);
   Tensor out({n, out_});
+  kernels::Nonzeros nz(in_);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < in_; ++k) {
-      const double x = input.at(i, k);
-      if (x == 0.0) continue;  // one-hot inputs are mostly zero
-      for (std::size_t j = 0; j < out_; ++j) {
-        out.at(i, j) += x * weights_.at(k, j);
-      }
-    }
-    for (std::size_t j = 0; j < out_; ++j) out.at(i, j) += bias_[j];
+    double* __restrict orow = out.data() + i * out_;
+    // gemv_acc skips zero inputs: one-hot inputs are mostly zero.
+    kernels::gemv_acc(orow, out_, input.data() + i * in_, in_,
+                      weights_.data(), out_, nz);
+    for (std::size_t j = 0; j < out_; ++j) orow[j] += bias_[j];
   }
   return out;
 }
@@ -40,15 +40,23 @@ Tensor Dense::backward(const Tensor& grad_output) {
   grad_weights_.zero();
   grad_bias_.zero();
   Tensor grad_input({n, in_});
+  const double* __restrict w = weights_.data();
+  double* __restrict gw = grad_weights_.data();
+  double* __restrict gb = grad_bias_.data();
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < out_; ++j) {
-      const double go = grad_output.at(i, j);
-      grad_bias_[j] += go;
-      for (std::size_t k = 0; k < in_; ++k) {
-        grad_weights_.at(k, j) += cached_input_.at(i, k) * go;
-        grad_input.at(i, k) += weights_.at(k, j) * go;
-      }
+    const double* __restrict x = cached_input_.data() + i * in_;
+    const double* __restrict grow = grad_output.data() + i * out_;
+    double* __restrict gi = grad_input.data() + i * in_;
+    for (std::size_t j = 0; j < out_; ++j) gb[j] += grow[j];
+    for (std::size_t k = 0; k < in_; ++k) {
+      const double* __restrict wrow = w + k * out_;
+      double acc = 0.0;
+      for (std::size_t j = 0; j < out_; ++j) acc += wrow[j] * grow[j];
+      gi[k] = acc;
     }
+    // add_outer skips x == 0 rows, which the reference did not: see
+    // kernels.hpp for why that is bit-identical.
+    kernels::add_outer(gw, out_, x, in_, grow, out_);
   }
   return grad_input;
 }

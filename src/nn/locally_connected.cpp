@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "nn/kernels.hpp"
+
 namespace flowgen::nn {
 
 LocallyConnected2D::LocallyConnected2D(std::size_t in_h, std::size_t in_w,
@@ -37,32 +39,36 @@ Tensor LocallyConnected2D::forward(const Tensor& input, bool /*training*/) {
   const std::size_t patch = kh_ * kw_ * in_ch_;
 
   Tensor out({n, oh_, ow_, out_ch_});
+  const double* __restrict in = input.data();
+  double* __restrict o = out.data();
+  kernels::Nonzeros nz(in_ch_);
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t oy = 0; oy < oh_; ++oy) {
       for (std::size_t ox = 0; ox < ow_; ++ox) {
         const std::size_t pos = oy * ow_ + ox;
-        std::size_t p = 0;
+        const double* __restrict wpos = weights_.data() + pos * patch * out_ch_;
+        double* __restrict orow = o + ((b * oh_ + oy) * ow_ + ox) * out_ch_;
         for (std::size_t ky = 0; ky < kh_; ++ky) {
           for (std::size_t kx = 0; kx < kw_; ++kx) {
-            for (std::size_t ci = 0; ci < in_ch_; ++ci, ++p) {
-              const double x = input.at(b, oy + ky, ox + kx, ci);
-              if (x == 0.0) continue;
-              for (std::size_t co = 0; co < out_ch_; ++co) {
-                out.at(b, oy, ox, co) +=
-                    x * weights_[(pos * patch + p) * out_ch_ + co];
-              }
-            }
+            kernels::gemv_acc(
+                orow, out_ch_,
+                in + ((b * in_h_ + oy + ky) * in_w_ + ox + kx) * in_ch_,
+                in_ch_, wpos + (ky * kw_ + kx) * in_ch_ * out_ch_, out_ch_,
+                nz);
           }
         }
-        for (std::size_t co = 0; co < out_ch_; ++co) {
-          out.at(b, oy, ox, co) += bias_[pos * out_ch_ + co];
-        }
+        const double* __restrict bias = bias_.data() + pos * out_ch_;
+        for (std::size_t co = 0; co < out_ch_; ++co) orow[co] += bias[co];
       }
     }
   }
   return out;
 }
 
+// Reference order per accumulator: grad_weights_ and grad_bias_ sum over b
+// ascending (each output position owns its weights); grad_input sums over
+// (oy, ox) in raster order, then co ascending. The (b, oy, ox) loop keeps
+// that order; grad_input's co sum is a dot product along contiguous co.
 Tensor LocallyConnected2D::backward(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
   const std::size_t n = input.dim(0);
@@ -71,25 +77,39 @@ Tensor LocallyConnected2D::backward(const Tensor& grad_output) {
   grad_weights_.zero();
   grad_bias_.zero();
   Tensor grad_input(input.shape());
+  const double* __restrict in = input.data();
+  const double* __restrict go = grad_output.data();
+  double* __restrict gi = grad_input.data();
 
+  // The reference skipped go == 0 terms; add_outer skips x == 0 instead,
+  // and the grad_input dot products skip nothing. Either way only +-0 terms
+  // differ, and they cannot change a sum that starts at +0 over finite
+  // terms (+0 + -0 = +0), so the results are bit-identical.
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t oy = 0; oy < oh_; ++oy) {
       for (std::size_t ox = 0; ox < ow_; ++ox) {
         const std::size_t pos = oy * ow_ + ox;
-        for (std::size_t co = 0; co < out_ch_; ++co) {
-          const double go = grad_output.at(b, oy, ox, co);
-          if (go == 0.0) continue;
-          grad_bias_[pos * out_ch_ + co] += go;
-          std::size_t p = 0;
-          for (std::size_t ky = 0; ky < kh_; ++ky) {
-            for (std::size_t kx = 0; kx < kw_; ++kx) {
-              for (std::size_t ci = 0; ci < in_ch_; ++ci, ++p) {
-                grad_weights_[(pos * patch + p) * out_ch_ + co] +=
-                    input.at(b, oy + ky, ox + kx, ci) * go;
-                grad_input.at(b, oy + ky, ox + kx, ci) +=
-                    weights_[(pos * patch + p) * out_ch_ + co] * go;
+        const double* __restrict grow =
+            go + ((b * oh_ + oy) * ow_ + ox) * out_ch_;
+        double* __restrict gb = grad_bias_.data() + pos * out_ch_;
+        for (std::size_t co = 0; co < out_ch_; ++co) gb[co] += grow[co];
+        const std::size_t wpos = pos * patch * out_ch_;
+        for (std::size_t ky = 0; ky < kh_; ++ky) {
+          for (std::size_t kx = 0; kx < kw_; ++kx) {
+            const std::size_t ipx =
+                ((b * in_h_ + oy + ky) * in_w_ + ox + kx) * in_ch_;
+            const std::size_t wtap = wpos + (ky * kw_ + kx) * in_ch_ * out_ch_;
+            for (std::size_t ci = 0; ci < in_ch_; ++ci) {
+              const double* __restrict wrow =
+                  weights_.data() + wtap + ci * out_ch_;
+              double acc = gi[ipx + ci];
+              for (std::size_t co = 0; co < out_ch_; ++co) {
+                acc += wrow[co] * grow[co];
               }
+              gi[ipx + ci] = acc;
             }
+            kernels::add_outer(grad_weights_.data() + wtap, out_ch_,
+                               in + ipx, in_ch_, grow, out_ch_);
           }
         }
       }

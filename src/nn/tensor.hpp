@@ -1,7 +1,13 @@
 #pragma once
-// Dense row-major tensor of doubles, rank <= 4. The NN stack is small (the
-// paper's CNN sees 12x12 one-hot matrices), so clarity and testability win
-// over vectorisation tricks.
+// Dense row-major tensor of doubles, rank <= 4.
+//
+// Kernel contract for the trainable layers (Conv2D, LocallyConnected2D,
+// Dense): inner loops run along a contiguous channel axis on raw pointers
+// with offsets hoisted out of them (nn/kernels.hpp), and every accumulator
+// receives the same terms in the same order as the plain reference loops
+// kept in tests/nn_kernel_test.cpp. Results are bit-identical to those
+// loops on any compiler, which that test checks with memcmp. Loop orders
+// may change for speed; summation orders may not.
 
 #include <cassert>
 #include <cstddef>

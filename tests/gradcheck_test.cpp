@@ -97,10 +97,24 @@ TEST(GradCheckTest, Conv2DKernelLargerThanHalfInput) {
   gradcheck(layer, random_tensor({1, 12, 12, 1}, rng), rng);
 }
 
+TEST(GradCheckTest, Conv2DStride2) {
+  // Stride 2 with 'same' padding: odd and even extents, a rectangular
+  // kernel, several channels in and out.
+  util::Rng rng(10);
+  Conv2D layer(2, 3, 3, 4, rng, /*stride=*/2);
+  gradcheck(layer, random_tensor({2, 7, 6, 2}, rng), rng);
+}
+
 TEST(GradCheckTest, LocallyConnected) {
   util::Rng rng(5);
   LocallyConnected2D layer(5, 5, 2, 3, 3, 3, rng);
   gradcheck(layer, random_tensor({2, 5, 5, 2}, rng), rng);
+}
+
+TEST(GradCheckTest, LocallyConnectedRectangularMultiChannel) {
+  util::Rng rng(11);
+  LocallyConnected2D layer(6, 5, 3, 4, 2, 3, rng);
+  gradcheck(layer, random_tensor({2, 6, 5, 3}, rng), rng);
 }
 
 TEST(GradCheckTest, MaxPoolInputGrad) {
